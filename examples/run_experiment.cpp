@@ -12,11 +12,14 @@
 //   run_experiment --model GARCIA --share --dataset "Sep. B" --scale 0.25
 //   run_experiment --model GARCIA --fanout 4   # minibatch sampled blocks
 
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "core/string_util.h"
 #include "data/presets.h"
 #include "models/registry.h"
 
@@ -32,6 +35,25 @@ void PrintUsageAndExit(const char* argv0) {
                "[--no-secl] [--no-igcl] [--tree-levels N] [--list]\n",
                argv0);
   std::exit(2);
+}
+
+// Upper bound of --threads: far above any core count, far below a value that
+// would ask the system for an unreasonable number of workers.
+constexpr uint64_t kMaxThreads = 256;
+
+// The value of a count flag, or a usage error for anything but a plain
+// decimal in [0, max_value].
+uint64_t ParseCountOrExit(const char* argv0, const char* flag,
+                          const char* text, uint64_t max_value) {
+  uint64_t v = 0;
+  if (!core::ParseUnsigned(text, max_value, &v)) {
+    std::fprintf(stderr,
+                 "%s expects a non-negative integer no greater than %llu, "
+                 "got '%s'\n",
+                 flag, static_cast<unsigned long long>(max_value), text);
+    PrintUsageAndExit(argv0);
+  }
+  return v;
 }
 
 }  // namespace
@@ -53,6 +75,10 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto count = [&](const char* flag, uint64_t max_value) {
+      return static_cast<size_t>(
+          ParseCountOrExit(argv[0], flag, need_value(flag), max_value));
+    };
     if (!std::strcmp(argv[i], "--model")) {
       model_name = need_value("--model");
     } else if (!std::strcmp(argv[i], "--dataset")) {
@@ -60,24 +86,19 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--scale")) {
       scale = std::atof(need_value("--scale"));
     } else if (!std::strcmp(argv[i], "--dim")) {
-      cfg.embedding_dim = static_cast<size_t>(std::atoi(need_value("--dim")));
+      cfg.embedding_dim = count("--dim", UINT32_MAX);
     } else if (!std::strcmp(argv[i], "--epochs")) {
-      cfg.finetune_epochs =
-          static_cast<size_t>(std::atoi(need_value("--epochs")));
+      cfg.finetune_epochs = count("--epochs", UINT32_MAX);
     } else if (!std::strcmp(argv[i], "--pretrain")) {
-      cfg.pretrain_epochs =
-          static_cast<size_t>(std::atoi(need_value("--pretrain")));
+      cfg.pretrain_epochs = count("--pretrain", UINT32_MAX);
     } else if (!std::strcmp(argv[i], "--seed")) {
-      cfg.seed = static_cast<uint64_t>(std::atoll(need_value("--seed")));
+      cfg.seed = count("--seed", UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--fanout")) {
-      cfg.sample_fanout =
-          static_cast<size_t>(std::atoi(need_value("--fanout")));
+      cfg.sample_fanout = count("--fanout", UINT32_MAX);
     } else if (!std::strcmp(argv[i], "--threads")) {
-      cfg.num_threads =
-          static_cast<size_t>(std::atoi(need_value("--threads")));
+      cfg.num_threads = count("--threads", kMaxThreads);
     } else if (!std::strcmp(argv[i], "--tree-levels")) {
-      cfg.tree_levels =
-          static_cast<size_t>(std::atoi(need_value("--tree-levels")));
+      cfg.tree_levels = count("--tree-levels", UINT32_MAX);
     } else if (!std::strcmp(argv[i], "--share")) {
       cfg.share_encoders = true;
     } else if (!std::strcmp(argv[i], "--no-ktcl")) {
@@ -139,7 +160,12 @@ int main(int argc, char** argv) {
               s.graph.num_edges() / 2);
 
   auto model = models::CreateModel(model_name, cfg);
+  const auto fit_start = std::chrono::steady_clock::now();
   model->Fit(s);
+  std::printf("fit_s=%.3f\n",
+              std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            fit_start)
+                  .count());
   auto m = models::EvaluateModel(model.get(), s, s.test);
   std::printf("\n%-8s %8s %8s %8s\n", "slice", "AUC", "GAUC", "NDCG@10");
   auto row = [](const char* name, const eval::RankingMetrics& r) {

@@ -26,6 +26,9 @@ echo "==> Plain build"
 run_suite "$ROOT/build"
 
 echo "==> Sanitizer build (address;undefined)"
+# UBSan recovers and keeps going by default, so a report would only be
+# printed; halting turns the first report into a failing test or smoke run.
+export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 run_suite "$ROOT/build-asan" -DGARCIA_SANITIZE="address;undefined"
 
 echo "==> ASan smoke: micro_kernels --speedup_json"
@@ -73,7 +76,9 @@ echo "==> Sanitizer build (thread)"
 # threaded suites run here: they exercise every ShardedFor dispatch, the
 # destination-sharded reduction kernels, the fused-chain kernels and their
 # thread-count bit-parity contract, the block sampler's
-# thread-count-invariance contract, the task-graph countdown/release races
+# thread-count-invariance contract, the fused edge ops of the GARCIA
+# encoder layer against the generic op chain at 1-4 threads
+# (models_edge_ops_test), the task-graph countdown/release races
 # (core_taskgraph_test), the pipelined training loops' lookahead handoff
 # (models_pipeline_test), the concurrent batched serving path
 # (BatchRanker + ResilientRanker's sequenced resolve phase), and the
@@ -84,9 +89,9 @@ TSAN_DIR="$ROOT/build-tsan"
 cmake -B "$TSAN_DIR" -S "$ROOT" -DGARCIA_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$JOBS" \
   --target core_kernels_test core_gemm_test core_threadpool_test nn_ops_test \
-  nn_fusion_test graph_sampler_test core_taskgraph_test models_pipeline_test \
-  serving_concurrency_test serving_resilience_test serving_retrieval_test
+  nn_fusion_test graph_sampler_test models_edge_ops_test core_taskgraph_test \
+  models_pipeline_test serving_concurrency_test serving_resilience_test serving_retrieval_test
 ctest --test-dir "$TSAN_DIR" --output-on-failure -j "$JOBS" \
-  -R '^(core_kernels_test|core_gemm_test|core_threadpool_test|nn_ops_test|nn_fusion_test|graph_sampler_test|core_taskgraph_test|models_pipeline_test|serving_concurrency_test|serving_resilience_test|serving_retrieval_test)$'
+  -R '^(core_kernels_test|core_gemm_test|core_threadpool_test|nn_ops_test|nn_fusion_test|graph_sampler_test|models_edge_ops_test|core_taskgraph_test|models_pipeline_test|serving_concurrency_test|serving_resilience_test|serving_retrieval_test)$'
 
 echo "==> All checks passed"

@@ -1,6 +1,7 @@
 #include "core/kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 
@@ -690,6 +691,188 @@ void RowDotAdd(const ExecutionContext& ctx, const Matrix& a, const Matrix& b,
   });
 }
 
+namespace {
+
+// The row sources of the attention row [z_dst(e) || z_src(e) || feat(e)],
+// in concatenation order.
+using EdgeRowParts = std::array<const Matrix*, 3>;
+
+size_t CheckedEdgeRowWidth(const EdgeRowParts& parts, size_t edges) {
+  GARCIA_CHECK_EQ(parts[0]->cols(), parts[1]->cols());
+  size_t width = 0;
+  for (const Matrix* part : parts) {
+    GARCIA_CHECK_EQ(part->rows(), edges);
+    width += part->cols();
+  }
+  return width;
+}
+
+}  // namespace
+
+void EdgeAttentionLogits(const ExecutionContext& ctx, const Matrix& z_dst,
+                         const Matrix& z_src, const Matrix& feat,
+                         const Matrix& w, Matrix* logits) {
+  const EdgeRowParts parts{&z_dst, &z_src, &feat};
+  const size_t edges = z_dst.rows();
+  GARCIA_CHECK_EQ(w.rows(), CheckedEdgeRowWidth(parts, edges));
+  GARCIA_CHECK_EQ(w.cols(), 1u);
+  GARCIA_CHECK_EQ(logits->rows(), edges);
+  GARCIA_CHECK_EQ(logits->cols(), 1u);
+  ForEachRow(ctx, edges, ctx.tuning().min_rows_per_shard, [&](size_t e) {
+    float acc = 0.0f;
+    const float* wp = w.data();
+    for (const Matrix* part : parts) {
+      const float* r = part->row(e);
+      const size_t cols = part->cols();
+      for (size_t j = 0; j < cols; ++j) acc += r[j] * wp[j];
+      wp += cols;
+    }
+    logits->at(e, 0) = acc;
+  });
+}
+
+void EdgeAttentionLogitsBackwardAdd(const ExecutionContext& ctx,
+                                    const Matrix& dlogits, const Matrix& w,
+                                    size_t dim, Matrix* dz_dst,
+                                    Matrix* dz_src, Matrix* dfeat) {
+  GARCIA_CHECK_EQ(dlogits.cols(), 1u);
+  GARCIA_CHECK_EQ(w.cols(), 1u);
+  GARCIA_CHECK_GE(w.rows(), 2 * dim);
+  const std::array<Matrix*, 3> outs{dz_dst, dz_src, dfeat};
+  const std::array<size_t, 3> offsets{0, dim, 2 * dim};
+  const std::array<size_t, 3> widths{dim, dim, w.rows() - 2 * dim};
+  for (size_t p = 0; p < 3; ++p) {
+    if (outs[p] == nullptr) continue;
+    GARCIA_CHECK_EQ(outs[p]->rows(), dlogits.rows());
+    GARCIA_CHECK_EQ(outs[p]->cols(), widths[p]);
+  }
+  ForEachRow(ctx, dlogits.rows(), ctx.tuning().min_rows_per_shard,
+             [&](size_t e) {
+               const float g = dlogits.at(e, 0);
+               for (size_t p = 0; p < 3; ++p) {
+                 if (outs[p] == nullptr) continue;
+                 float* r = outs[p]->row(e);
+                 const float* wp = w.data() + offsets[p];
+                 for (size_t j = 0; j < widths[p]; ++j) r[j] += g * wp[j];
+               }
+             });
+}
+
+void EdgeAttentionWeightGradAdd(const ExecutionContext& ctx,
+                                const Matrix& z_dst, const Matrix& z_src,
+                                const Matrix& feat, const Matrix& dlogits,
+                                Matrix* dw) {
+  const EdgeRowParts parts{&z_dst, &z_src, &feat};
+  const size_t edges = dlogits.rows();
+  const size_t width = CheckedEdgeRowWidth(parts, edges);
+  GARCIA_CHECK_EQ(dlogits.cols(), 1u);
+  GARCIA_CHECK_EQ(dw->rows(), width);
+  GARCIA_CHECK_EQ(dw->cols(), 1u);
+  float* dwd = dw->data();
+  // Each shard owns a column range and walks every edge in ascending order,
+  // so each dw(l) sees the GEMM's k-order; the local accumulator row is
+  // loaded from and stored back to dw exactly once (float round-trips are
+  // exact).
+  ctx.ShardedFor(
+      0, width, ctx.tuning().gemm_min_cols_per_shard,
+      [&](size_t lo, size_t hi) {
+        size_t off = 0;
+        std::vector<float> acc;
+        for (const Matrix* part : parts) {
+          const size_t cols = part->cols();
+          const size_t a = std::max(lo, off), b = std::min(hi, off + cols);
+          if (a < b) {
+            acc.assign(dwd + a, dwd + b);
+            const size_t n = b - a;
+            for (size_t e = 0; e < edges; ++e) {
+              const float g = dlogits.at(e, 0);
+              const float* r = part->row(e) + (a - off);
+              for (size_t j = 0; j < n; ++j) acc[j] += r[j] * g;
+            }
+            std::copy(acc.begin(), acc.end(), dwd + a);
+          }
+          off += cols;
+        }
+      });
+}
+
+void WeightedSegmentSum(const ExecutionContext& ctx, const Matrix& z_src,
+                        const Matrix& feat, const Matrix& alpha,
+                        const std::vector<uint32_t>& seg, size_t num_segments,
+                        Matrix* out) {
+  const size_t edges = seg.size();
+  const size_t d = z_src.cols(), f = feat.cols();
+  GARCIA_CHECK_EQ(z_src.rows(), edges);
+  GARCIA_CHECK_EQ(feat.rows(), edges);
+  GARCIA_CHECK_EQ(alpha.rows(), edges);
+  GARCIA_CHECK_EQ(alpha.cols(), 1u);
+  GARCIA_CHECK_EQ(out->rows(), num_segments);
+  GARCIA_CHECK_EQ(out->cols(), d + f);
+  out->Fill(0.0f);
+  // dst += fl(alpha_e * msg_e): the weighted row is never stored, but each
+  // product is rounded to float before the add, as ScaleRowsInPlace's
+  // product is before ScatterAddRows reads it.
+  const auto add_edge = [&](float* dst, size_t e) {
+    const float a = alpha.at(e, 0);
+    const float* zr = z_src.row(e);
+    for (size_t j = 0; j < d; ++j) dst[j] += zr[j] * a;
+    const float* fr = feat.row(e);
+    for (size_t j = 0; j < f; ++j) dst[d + j] += fr[j] * a;
+  };
+  DestShardedReduce(
+      ctx, seg, num_segments,
+      [&] {
+        for (size_t e = 0; e < edges; ++e) {
+          GARCIA_CHECK_LT(seg[e], num_segments);
+          add_edge(out->row(seg[e]), e);
+        }
+      },
+      [&](size_t s, size_t p0, size_t p1, const uint32_t* order) {
+        float* dst = out->row(s);
+        for (size_t p = p0; p < p1; ++p) add_edge(dst, order[p]);
+      });
+}
+
+void WeightedSegmentSumBackwardAdd(const ExecutionContext& ctx,
+                                   const Matrix& z_src, const Matrix& feat,
+                                   const Matrix& alpha, const Matrix& dout,
+                                   const std::vector<uint32_t>& seg,
+                                   Matrix* dz_src, Matrix* dfeat,
+                                   Matrix* dalpha) {
+  const size_t edges = seg.size();
+  const size_t d = z_src.cols(), f = feat.cols();
+  GARCIA_CHECK_EQ(z_src.rows(), edges);
+  GARCIA_CHECK_EQ(feat.rows(), edges);
+  GARCIA_CHECK_EQ(alpha.rows(), edges);
+  GARCIA_CHECK_EQ(dout.cols(), d + f);
+  if (dz_src != nullptr) GARCIA_CHECK_EQ(dz_src->rows(), edges);
+  if (dfeat != nullptr) GARCIA_CHECK_EQ(dfeat->rows(), edges);
+  if (dalpha != nullptr) GARCIA_CHECK_EQ(dalpha->rows(), edges);
+  ForEachRow(ctx, edges, ctx.tuning().min_rows_per_shard, [&](size_t e) {
+    GARCIA_CHECK_LT(seg[e], dout.rows());
+    const float* g = dout.row(seg[e]);
+    const float a = alpha.at(e, 0);
+    if (dz_src != nullptr) {
+      float* r = dz_src->row(e);
+      for (size_t j = 0; j < d; ++j) r[j] += g[j] * a;
+    }
+    if (dfeat != nullptr) {
+      float* r = dfeat->row(e);
+      for (size_t j = 0; j < f; ++j) r[j] += g[d + j] * a;
+    }
+    if (dalpha != nullptr) {
+      double acc = 0.0;
+      const float* zr = z_src.row(e);
+      for (size_t j = 0; j < d; ++j) acc += static_cast<double>(g[j]) * zr[j];
+      const float* fr = feat.row(e);
+      for (size_t j = 0; j < f; ++j) {
+        acc += static_cast<double>(g[d + j]) * fr[j];
+      }
+      dalpha->at(e, 0) += static_cast<float>(acc);
+    }
+  });
+}
+
 void L2NormalizeRows(const ExecutionContext& ctx, const Matrix& x, float eps,
                      Matrix* out, std::vector<float>* norms) {
   GARCIA_CHECK_EQ(out->rows(), x.rows());
@@ -937,8 +1120,10 @@ inline void EvalRange(const Step* steps, size_t num_steps, size_t lo,
     for (size_t s = 0; s < num_steps; ++s) {
       const Step& st = steps[s];
       float* o = regs[s];
-      const float* va = regs[st.a];
-      const float* vb = regs[st.b];
+      // kInput steps read no register and unary steps no b operand; their
+      // unused index is -1, so no pointer is formed from it.
+      const float* va = st.a >= 0 ? regs[st.a] : nullptr;
+      const float* vb = st.b >= 0 ? regs[st.b] : nullptr;
       switch (st.op) {
         case EltOp::kInput: {
           const float* in = st.in + b;

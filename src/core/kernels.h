@@ -276,6 +276,61 @@ void ScaleRowsInPlace(const ExecutionContext& ctx, Matrix* x,
 void RowDotAdd(const ExecutionContext& ctx, const Matrix& a, const Matrix& b,
                Matrix* out);
 
+// ----- Edge-level attention and aggregation (GARCIA encoder, Eq. 2) -----
+//
+// The attention row [z_dst(e) || z_src(e) || feat(e)] and the message row
+// [z_src(e) || feat(e)] of edge e are read straight from their row
+// sources; no E-row concatenation is ever built. Every kernel applies the
+// scalar expressions, accumulation order and first-add rounding of the
+// generic chain it replaces (packed GEMM, ScaleRowsInPlace, ScatterAddRows,
+// RowDotAdd), so results are bit-identical to that chain for any backend.
+
+/// logits(e, 0) = Σ_l row_e[l] * w(l, 0) over the attention row, each
+/// accumulator starting at +0.0f and adding fl(row_e[l] * w(l)) in
+/// ascending l — the order of the packed GEMM with beta = 0. z_dst and
+/// z_src are E x d, feat is E x f, w is (2d + f) x 1. Sharded by edge.
+void EdgeAttentionLogits(const ExecutionContext& ctx, const Matrix& z_dst,
+                         const Matrix& z_src, const Matrix& feat,
+                         const Matrix& w, Matrix* logits);
+
+/// Input adjoint of EdgeAttentionLogits for node width `dim`: the
+/// attention-row gradient fl(dlogits(e) * w(l)) is added into the block of
+/// dz_dst / dz_src / dfeat that column l belongs to. Null outputs are
+/// skipped. Sharded by edge.
+void EdgeAttentionLogitsBackwardAdd(const ExecutionContext& ctx,
+                                    const Matrix& dlogits, const Matrix& w,
+                                    size_t dim, Matrix* dz_dst,
+                                    Matrix* dz_src, Matrix* dfeat);
+
+/// Weight adjoint: dw(l, 0) += Σ_e row_e[l] * dlogits(e), added onto the
+/// existing value in ascending e — the order of the GEMM with beta = 1.
+/// Sharded by column l.
+void EdgeAttentionWeightGradAdd(const ExecutionContext& ctx,
+                                const Matrix& z_dst, const Matrix& z_src,
+                                const Matrix& feat, const Matrix& dlogits,
+                                Matrix* dw);
+
+/// out->row(s) = Σ_{e: seg[e]==s} fl(alpha(e) * [z_src(e) || feat(e)]),
+/// zeroed first and summed in ascending e per segment — ScaleRowsInPlace
+/// followed by SegmentSum, without the E x (d + f) intermediate. out must
+/// be num_segments x (d + f). Sharded by destination segment.
+void WeightedSegmentSum(const ExecutionContext& ctx, const Matrix& z_src,
+                        const Matrix& feat, const Matrix& alpha,
+                        const std::vector<uint32_t>& seg, size_t num_segments,
+                        Matrix* out);
+
+/// Adjoint of WeightedSegmentSum. With g = dout.row(seg[e]):
+/// dz_src / dfeat row e += fl(g * alpha(e)) over their column blocks, and
+/// dalpha(e) += fl(Σ_j g[j] * msg_e[j]) accumulated in double over
+/// ascending j (RowDotAdd's expression). Null outputs are skipped. Sharded
+/// by edge: every output row belongs to exactly one edge.
+void WeightedSegmentSumBackwardAdd(const ExecutionContext& ctx,
+                                   const Matrix& z_src, const Matrix& feat,
+                                   const Matrix& alpha, const Matrix& dout,
+                                   const std::vector<uint32_t>& seg,
+                                   Matrix* dz_src, Matrix* dfeat,
+                                   Matrix* dalpha);
+
 // ----- L2 row normalization (InfoNCE forward) -----
 
 /// out->row(i) = x.row(i) / max(||x.row(i)||, eps); rows with norm <= eps

@@ -52,6 +52,19 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
          s.compare(0, prefix.size(), prefix) == 0;
 }
 
+bool ParseUnsigned(const std::string& s, uint64_t max_value, uint64_t* out) {
+  if (s.empty()) return false;
+  uint64_t v = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (digit > max_value || v > (max_value - digit) / 10) return false;
+    v = v * 10 + digit;
+  }
+  *out = v;
+  return true;
+}
+
 std::string StrFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -4,6 +4,7 @@
 #ifndef GARCIA_CORE_STRING_UTIL_H_
 #define GARCIA_CORE_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,13 @@ std::string ToLower(const std::string& s);
 
 /// True if s starts with prefix.
 bool StartsWith(const std::string& s, const std::string& prefix);
+
+/// Parses a plain decimal unsigned integer no greater than max_value into
+/// *out. Rejects an empty string, any sign, whitespace or trailing
+/// character, and values past max_value (overflow included); *out is left
+/// unchanged on failure. The checked replacement for atoi-style parsing of
+/// command-line counts, where "-1" would otherwise wrap to 2^64 - 1.
+bool ParseUnsigned(const std::string& s, uint64_t max_value, uint64_t* out);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

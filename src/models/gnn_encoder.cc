@@ -101,6 +101,9 @@ GnnOutput GarciaGnnEncoder::EncodeBlock(const graph::SearchGraph& g,
     }
     Tensor efeat =
         full ? full_efeat : Tensor::Constant(block.layers[l].edge_feats);
+    // The two E x d gathers are the only edge-row tensors on the tape: the
+    // attention logits and the weighted message sum read [z_dst || z_src ||
+    // e] and [z_src || e] straight from them (DESIGN.md §5e).
     Tensor z_src = nn::GatherRows(z, src);
     Tensor alpha;
     if (use_attention_) {
@@ -108,18 +111,18 @@ GnnOutput GarciaGnnEncoder::EncodeBlock(const graph::SearchGraph& g,
       // Attention logits over [z_dst || z_src || e]; α via per-destination
       // segment softmax ("implemented by the recent emerging attention
       // mechanism", Eq. 2).
-      Tensor att_in = nn::ConcatCols(nn::ConcatCols(z_dst, z_src), efeat);
-      Tensor logits = nn::LeakyRelu(layer.attention->Forward(att_in), 0.2f);
+      Tensor logits = nn::LeakyRelu(
+          nn::EdgeAttentionLogits(z_dst, z_src, efeat,
+                                  layer.attention->weight()),
+          0.2f);
       alpha = nn::SegmentSoftmax(logits, dst, ndst);
     } else {
       // Uniform 1/deg weights (segment softmax of constant scores).
       alpha = nn::SegmentSoftmax(
           Tensor::Constant(core::Matrix(src.size(), 1)), dst, ndst);
     }
-    // Weighted sum of [z_v || e], then W_A + Tanh.
-    Tensor msg_in = nn::ConcatCols(z_src, efeat);
-    Tensor weighted = nn::MulColBroadcast(msg_in, alpha);
-    Tensor summed = nn::SegmentSum(weighted, dst, ndst);
+    // Weighted sum of [z_v || e] per destination, then W_A + Tanh.
+    Tensor summed = nn::WeightedSegmentSum(z_src, efeat, alpha, dst, ndst);
     Tensor m = nn::Tanh(layer.aggregate->Forward(summed));
     // Update: ReLU(W_U [z || m]) over this pass's destination prefix.
     z = nn::Relu(layer.update->Forward(nn::ConcatCols(SliceRows(z, ndst), m)));

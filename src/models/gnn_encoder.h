@@ -78,7 +78,7 @@ class GarciaGnnEncoder : public nn::Module {
   std::unique_ptr<nn::Embedding> id_embedding_;
   std::unique_ptr<nn::Linear> attr_proj_;
   struct Layer {
-    std::unique_ptr<nn::Linear> attention;  // [z_dst||z_src||e] -> 1
+    std::unique_ptr<nn::Linear> attention;  // w_att: [z_dst||z_src||e] -> 1
     std::unique_ptr<nn::Linear> aggregate;  // W_A: [z_src||e] -> d
     std::unique_ptr<nn::Linear> update;     // W_U: [z||m] -> d
   };

@@ -21,6 +21,12 @@ namespace {
 /// Parent node i of an op output.
 TensorNode* Parent(TensorNode* out, size_t i) { return out->parents[i].get(); }
 
+/// Parent i's gradient buffer, or null when it takes no gradient.
+Matrix* ParentGrad(TensorNode* out, size_t i) {
+  TensorNode* p = Parent(out, i);
+  return p->requires_grad ? &p->EnsureGrad() : nullptr;
+}
+
 using internal::CaptureEnabled;  // fusion-mode lazy capture (nn/op_graph.h)
 using internal::Exec;            // shared context lookup (nn/exec.h)
 
@@ -519,6 +525,45 @@ Tensor SegmentSoftmax(const Tensor& scores, std::vector<uint32_t> seg,
                            &p->EnsureGrad());
                      }),
       "segment_softmax");
+}
+
+Tensor EdgeAttentionLogits(const Tensor& z_dst, const Tensor& z_src,
+                           const Tensor& feat, const Tensor& w) {
+  Matrix out(z_dst.rows(), 1);
+  kernels::EdgeAttentionLogits(Exec(), z_dst.value(), z_src.value(),
+                               feat.value(), w.value(), &out);
+  const size_t dim = z_dst.cols();
+  return Named(
+      Tensor::FromOp(std::move(out), {z_dst, z_src, feat, w},
+                     [dim](TensorNode* n) {
+                       TensorNode* pw = Parent(n, 3);
+                       kernels::EdgeAttentionLogitsBackwardAdd(
+                           Exec(), n->grad, pw->value, dim, ParentGrad(n, 0),
+                           ParentGrad(n, 1), ParentGrad(n, 2));
+                       if (pw->requires_grad) {
+                         kernels::EdgeAttentionWeightGradAdd(
+                             Exec(), Parent(n, 0)->value, Parent(n, 1)->value,
+                             Parent(n, 2)->value, n->grad, &pw->EnsureGrad());
+                       }
+                     }),
+      "edge_attention_logits");
+}
+
+Tensor WeightedSegmentSum(const Tensor& z_src, const Tensor& feat,
+                          const Tensor& alpha, std::vector<uint32_t> seg,
+                          size_t num_segments) {
+  Matrix out(num_segments, z_src.cols() + feat.cols());
+  kernels::WeightedSegmentSum(Exec(), z_src.value(), feat.value(),
+                              alpha.value(), seg, num_segments, &out);
+  return Named(
+      Tensor::FromOp(std::move(out), {z_src, feat, alpha},
+                     [seg = std::move(seg)](TensorNode* n) {
+                       kernels::WeightedSegmentSumBackwardAdd(
+                           Exec(), Parent(n, 0)->value, Parent(n, 1)->value,
+                           Parent(n, 2)->value, n->grad, seg, ParentGrad(n, 0),
+                           ParentGrad(n, 1), ParentGrad(n, 2));
+                     }),
+      "weighted_segment_sum");
 }
 
 }  // namespace garcia::nn

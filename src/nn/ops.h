@@ -125,6 +125,26 @@ Tensor SegmentSum(const Tensor& x, std::vector<uint32_t> seg,
 Tensor SegmentSoftmax(const Tensor& scores, std::vector<uint32_t> seg,
                       size_t num_segments);
 
+// ----- Edge-level attention and aggregation (GARCIA encoder, Eq. 2) -----
+//
+// Fused forms of the encoder layer's edge chain that never build an E-row
+// concatenation. Values and every gradient are bit-identical to the chains
+// named below (DESIGN.md §5e, "Fused edge ops").
+
+/// Ex1 attention logits [z_dst || z_src || feat] · w, with z_dst and z_src
+/// E x d, feat E x f and w (2d + f) x 1. Equals
+/// MatMul(ConcatCols(ConcatCols(z_dst, z_src), feat), w).
+Tensor EdgeAttentionLogits(const Tensor& z_dst, const Tensor& z_src,
+                           const Tensor& feat, const Tensor& w);
+
+/// out[s] = Σ_{e: seg[e]==s} alpha[e] · [z_src[e] || feat[e]], a
+/// num_segments x (d + f) matrix built straight from the edge list. Equals
+/// SegmentSum(MulColBroadcast(ConcatCols(z_src, feat), alpha), seg,
+/// num_segments).
+Tensor WeightedSegmentSum(const Tensor& z_src, const Tensor& feat,
+                          const Tensor& alpha, std::vector<uint32_t> seg,
+                          size_t num_segments);
+
 }  // namespace garcia::nn
 
 #endif  // GARCIA_NN_OPS_H_

@@ -58,9 +58,8 @@ PopularityRanker::PopularityRanker(const std::vector<double>& popularity) {
 }
 
 RankedList PopularityRanker::Rank(uint32_t /*query*/, size_t k) const {
-  RankedList out = ranked_;
-  out.resize(std::min(k, out.size()));
-  return out;
+  return RankedList(ranked_.begin(),
+                    ranked_.begin() + std::min(k, ranked_.size()));
 }
 
 // ----------------------------------------------------------- ResilientRanker

@@ -200,6 +200,89 @@ TEST_F(KernelsBitIdentityTest, ScaleRowsAndRowDot) {
   ExpectBitIdentical(d0, d1, "RowDotAdd");
 }
 
+TEST_F(KernelsBitIdentityTest, EdgeAttentionAndWeightedSegmentSum) {
+  // Past min_scatter_sources, so the weighted sum takes the destination
+  // index path; every 5th destination has no edge.
+  const size_t edges = 5000, nodes = 700, d = 32, f = 5;
+  Matrix z_dst = RandMatrix(edges, d, &rng_);
+  Matrix z_src = RandMatrix(edges, d, &rng_);
+  Matrix feat = RandMatrix(edges, f, &rng_);
+  Matrix w = RandMatrix(2 * d + f, 1, &rng_);
+  Matrix alpha = RandMatrix(edges, 1, &rng_);
+  std::vector<uint32_t> seg = RandIndices(edges, nodes / 5, &rng_);
+  for (auto& s : seg) s = s * 5 + 1;
+  Matrix dlogits = RandMatrix(edges, 1, &rng_);
+  Matrix dout = RandMatrix(nodes, d + f, &rng_);
+
+  // The generic chain the edge kernels replace, on the serial backend.
+  Matrix att_in(edges, 2 * d + f), msg(edges, d + f);
+  for (size_t e = 0; e < edges; ++e) {
+    for (size_t j = 0; j < d; ++j) {
+      att_in.at(e, j) = z_dst.at(e, j);
+      att_in.at(e, d + j) = msg.at(e, j) = z_src.at(e, j);
+    }
+    for (size_t j = 0; j < f; ++j) {
+      att_in.at(e, 2 * d + j) = msg.at(e, d + j) = feat.at(e, j);
+    }
+  }
+  const ExecutionContext& serial = SerialExecution();
+  Matrix logits_ref(edges, 1), datt_ref(edges, 2 * d + f);
+  Matrix dw_ref = RandMatrix(2 * d + f, 1, &rng_);
+  const Matrix dw_init = dw_ref;
+  kernels::Gemm(serial, false, false, 1.0f, att_in, w, 0.0f, &logits_ref);
+  kernels::Gemm(serial, false, true, 1.0f, dlogits, w, 1.0f, &datt_ref);
+  kernels::Gemm(serial, true, false, 1.0f, att_in, dlogits, 1.0f, &dw_ref);
+  Matrix weighted = msg;
+  kernels::ScaleRowsInPlace(serial, &weighted, alpha);
+  Matrix sum_ref(nodes, d + f);
+  kernels::SegmentSum(serial, weighted, seg, nodes, &sum_ref);
+  Matrix dmsg_ref(edges, d + f), dalpha_ref(edges, 1);
+  kernels::GatherAddRows(serial, dout, seg, &dmsg_ref);
+  kernels::RowDotAdd(serial, dmsg_ref, msg, &dalpha_ref);
+  kernels::ScaleRowsInPlace(serial, &dmsg_ref, alpha);
+
+  const ExecutionContext* contexts[] = {&serial, &par3_, &par4_};
+  for (const ExecutionContext* ctx : contexts) {
+    Matrix logits(edges, 1);
+    kernels::EdgeAttentionLogits(*ctx, z_dst, z_src, feat, w, &logits);
+    ExpectBitIdentical(logits_ref, logits, "EdgeAttentionLogits");
+
+    Matrix dz_dst(edges, d), dz_src(edges, d), dfeat(edges, f);
+    kernels::EdgeAttentionLogitsBackwardAdd(*ctx, dlogits, w, d, &dz_dst,
+                                            &dz_src, &dfeat);
+    Matrix datt(edges, 2 * d + f);
+    for (size_t e = 0; e < edges; ++e) {
+      for (size_t j = 0; j < d; ++j) {
+        datt.at(e, j) = dz_dst.at(e, j);
+        datt.at(e, d + j) = dz_src.at(e, j);
+      }
+      for (size_t j = 0; j < f; ++j) datt.at(e, 2 * d + j) = dfeat.at(e, j);
+    }
+    ExpectBitIdentical(datt_ref, datt, "EdgeAttentionLogitsBackwardAdd");
+
+    Matrix dw = dw_init;
+    kernels::EdgeAttentionWeightGradAdd(*ctx, z_dst, z_src, feat, dlogits,
+                                        &dw);
+    ExpectBitIdentical(dw_ref, dw, "EdgeAttentionWeightGradAdd");
+
+    Matrix sum(nodes, d + f);
+    kernels::WeightedSegmentSum(*ctx, z_src, feat, alpha, seg, nodes, &sum);
+    ExpectBitIdentical(sum_ref, sum, "WeightedSegmentSum");
+
+    Matrix dzs(edges, d), dft(edges, f), dalpha(edges, 1);
+    kernels::WeightedSegmentSumBackwardAdd(*ctx, z_src, feat, alpha, dout,
+                                           seg, &dzs, &dft, &dalpha);
+    Matrix dmsg(edges, d + f);
+    for (size_t e = 0; e < edges; ++e) {
+      for (size_t j = 0; j < d; ++j) dmsg.at(e, j) = dzs.at(e, j);
+      for (size_t j = 0; j < f; ++j) dmsg.at(e, d + j) = dft.at(e, j);
+    }
+    ExpectBitIdentical(dmsg_ref, dmsg, "WeightedSegmentSumBackwardAdd dmsg");
+    ExpectBitIdentical(dalpha_ref, dalpha,
+                       "WeightedSegmentSumBackwardAdd dalpha");
+  }
+}
+
 TEST_F(KernelsBitIdentityTest, L2NormalizeForwardBackward) {
   const size_t n = 2000, cols = 32;
   Matrix x = RandMatrix(n, cols, &rng_);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace garcia::core {
 namespace {
 
@@ -43,6 +45,31 @@ TEST(StringUtilTest, StartsWith) {
   EXPECT_TRUE(StartsWith("phone rental", "phone"));
   EXPECT_FALSE(StartsWith("phone", "phone rental"));
   EXPECT_TRUE(StartsWith("abc", ""));
+}
+
+TEST(StringUtilTest, ParseUnsignedAcceptsPlainDecimals) {
+  uint64_t v = 99;
+  EXPECT_TRUE(ParseUnsigned("0", 10, &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseUnsigned("007", 10, &v));
+  EXPECT_EQ(v, 7u);
+  EXPECT_TRUE(ParseUnsigned("10", 10, &v));  // the bound is inclusive
+  EXPECT_EQ(v, 10u);
+  EXPECT_TRUE(ParseUnsigned("18446744073709551615", UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
+}
+
+TEST(StringUtilTest, ParseUnsignedRejectsBadInput) {
+  uint64_t v = 42;
+  for (const char* bad :
+       {"", "-1", "-0", "+3", " 3", "3 ", "3x", "0x10", "1e3", "1.5", "abc",
+        "18446744073709551616", "99999999999999999999999"}) {
+    EXPECT_FALSE(ParseUnsigned(bad, UINT64_MAX, &v)) << "'" << bad << "'";
+  }
+  EXPECT_FALSE(ParseUnsigned("11", 10, &v));
+  EXPECT_FALSE(ParseUnsigned("7", 5, &v));  // one digit past a small bound
+  EXPECT_FALSE(ParseUnsigned("257", 256, &v));
+  EXPECT_EQ(v, 42u);  // untouched on every failure
 }
 
 TEST(StringUtilTest, StrFormat) {

@@ -288,6 +288,29 @@ TEST_F(OpGradTest, SegmentSoftmax) {
                {s});
 }
 
+TEST_F(OpGradTest, EdgeAttentionLogits) {
+  const size_t edges = 7, d = 3, f = 2;
+  Tensor z_dst = RandLeaf(edges, d, &rng_);
+  Tensor z_src = RandLeaf(edges, d, &rng_);
+  Tensor feat = RandLeaf(edges, f, &rng_);
+  Tensor w = RandLeaf(2 * d + f, 1, &rng_);
+  ExpectGradOk(
+      [&] { return SumAll(Tanh(EdgeAttentionLogits(z_dst, z_src, feat, w))); },
+      {z_dst, z_src, feat, w});
+}
+
+TEST_F(OpGradTest, WeightedSegmentSum) {
+  Tensor z_src = RandLeaf(7, 3, &rng_);
+  Tensor feat = RandLeaf(7, 2, &rng_);
+  Tensor alpha = RandLeaf(7, 1, &rng_);
+  std::vector<uint32_t> seg = {0, 1, 0, 3, 1, 0, 3};  // segment 2 is empty
+  ExpectGradOk(
+      [&] {
+        return SumAll(Tanh(WeightedSegmentSum(z_src, feat, alpha, seg, 4)));
+      },
+      {z_src, feat, alpha});
+}
+
 TEST_F(OpGradTest, GnnLayerComposite) {
   // The exact composition used by the GARCIA encoder: gather neighbors,
   // concat edge features, attention via segment softmax, segment-sum,

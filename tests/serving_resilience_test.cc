@@ -942,5 +942,27 @@ TEST(PopularityRankerTest, FixedOrderingForEveryQuery) {
   EXPECT_EQ(a[2].first, 2u);
 }
 
+TEST(PopularityRankerTest, ReturnsPrefixAndAllocatesOnlyK) {
+  // Popularity with ties: ranking is by descending score, ties by id.
+  std::vector<double> popularity;
+  for (size_t s = 0; s < 50; ++s) popularity.push_back(double((s * 7) % 11));
+  PopularityRanker ranker(popularity);
+  RankedList full;
+  for (size_t s = 0; s < popularity.size(); ++s) {
+    full.emplace_back(static_cast<uint32_t>(s),
+                      static_cast<float>(popularity[s]));
+  }
+  std::stable_sort(full.begin(), full.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  for (size_t k : {size_t{0}, size_t{1}, size_t{10}, size_t{50}, size_t{80}}) {
+    const RankedList got = ranker.Rank(3, k);
+    const size_t n = std::min(k, full.size());
+    EXPECT_EQ(got, RankedList(full.begin(), full.begin() + n)) << "k=" << k;
+    EXPECT_LE(got.capacity(), n) << "k=" << k;
+  }
+}
+
 }  // namespace
 }  // namespace garcia::serving
